@@ -1,5 +1,5 @@
 //! Seeded defect: `route_done` holds `done` (rank 5) while calling
-//! `adopt`, which acquires `inbox` (rank 4) — an inversion of the
+//! `adopt`, which acquires `inbox` (rank 3) — an inversion of the
 //! event-loop engine's shard-queue lock order that only the
 //! inter-procedural lockgraph pass can see. Must fail
 //! `--deny --pass lockgraph` with DA407.

@@ -1,6 +1,6 @@
-//! Seeded defect: `observe` holds `ewma` (rank 9; only the span
+//! Seeded defect: `observe` holds `ewma` (rank 8; only the span
 //! recorder ranks below it) while calling `reorder`, which
-//! acquires `sched` (rank 5) — an inversion of the hierarchy's
+//! acquires `sched` (rank 4) — an inversion of the hierarchy's
 //! tail-tolerance ranks that only the inter-procedural lockgraph pass
 //! can see. Must fail `--deny --pass lockgraph` with DA407.
 

@@ -1,5 +1,5 @@
-//! Seeded defect: `outer` holds `inner` (rank 2) while calling
-//! `helper`, which acquires `conns` (rank 1) — a cross-function
+//! Seeded defect: `outer` holds `inner` (rank 1) while calling
+//! `helper`, which acquires `conns` (rank 0) — a cross-function
 //! inversion of the declared hierarchy that only an inter-procedural
 //! pass can see. Must fail `--deny --pass lockgraph` with DA407.
 

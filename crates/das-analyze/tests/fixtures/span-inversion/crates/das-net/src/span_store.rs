@@ -1,6 +1,6 @@
 //! Seeded defect: `record` holds `spans` (rank 10, the declared leaf
 //! — the flight recorder's ring, under which nothing may be acquired)
-//! while calling `mirror_gauges`, which acquires `sched` (rank 5) —
+//! while calling `mirror_gauges`, which acquires `sched` (rank 4) —
 //! the inversion the SpanStore leaf rank exists to forbid, visible
 //! only to the inter-procedural lockgraph pass. Must fail
 //! `--deny --pass lockgraph` with DA407.

@@ -103,7 +103,7 @@ fn cross_function_lock_inversion_fails_with_da407() {
 
 #[test]
 fn engine_shard_queue_inversion_fails_with_da407() {
-    // The event-loop engine's locks (`inbox` rank 4, `done` rank 5)
+    // The event-loop engine's locks (`inbox` rank 3, `done` rank 5)
     // are part of the declared hierarchy; acquiring them backwards
     // across a call is the same AB/BA deadlock as the server locks.
     let (ok, stdout) = analyze(&fixture("engine-inversion"), &["lockgraph"]);

@@ -14,14 +14,10 @@
 //! property that makes open-loop numbers honest where closed-loop
 //! generators silently self-throttle (coordinated omission).
 //!
-//! Two entry points:
-//!
-//! * [`run_bench`] — drive an already-running fleet once and return a
-//!   [`report::BenchReport`].
-//! * [`compare_engines`] — boot two in-process loopback fleets (one
-//!   per [`das_net::Engine`]), run the identical seeded workload
-//!   against each, and return a [`report::CompareReport`] naming the
-//!   winner. This is what `das bench` writes to `BENCH_net.json`.
+//! [`run_bench`] drives a running fleet once and returns a
+//! [`report::BenchReport`], the document `das bench` writes to
+//! `BENCH_net.json`. The fleet is either external or booted in this
+//! process by [`fleet::spawn_fleet`].
 
 pub mod fleet;
 pub mod report;
@@ -35,7 +31,7 @@ use das_net::{DasCluster, Message, NetError, PipeClient, RetryPolicy};
 use das_obs::{event, Histogram, Level};
 use das_pfs::LayoutPolicy;
 
-use report::{BenchReport, ClassStats, CompareReport};
+use report::{BenchReport, ClassStats};
 
 /// One operation class of the mixed workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,11 +126,11 @@ pub struct BenchConfig {
     pub kernel: String,
     /// Rows (= strips) of the small raster the exec class computes on.
     pub exec_rows: u64,
-    /// Servers per in-process fleet ([`compare_engines`] only).
+    /// Servers per in-process fleet ([`fleet::spawn_fleet`] only).
     pub servers: usize,
-    /// Daemon worker-pool size ([`compare_engines`] only).
+    /// Daemon worker-pool size ([`fleet::spawn_fleet`] only).
     pub pool: usize,
-    /// Daemon admission-control bound ([`compare_engines`] only):
+    /// Daemon admission-control bound ([`fleet::spawn_fleet`] only):
     /// `None` keeps the daemon default. Set small together with a
     /// past-capacity `rate` to run a reproducible overload scenario —
     /// the excess is shed as typed `Overloaded`, which the report
@@ -149,16 +145,13 @@ impl Default for BenchConfig {
             // A rate the fleet can actually sustain: the exec class
             // (kernel + peer dependence fetches) costs tens of
             // milliseconds of pool time per call, so an open-loop
-            // rate far past capacity just measures queueing collapse
-            // on BOTH engines instead of the architectural gap.
+            // rate far past capacity just measures queueing collapse.
             rate: 400.0,
             duration: Duration::from_secs(5),
             clients: 64,
             // More sockets per daemon than the daemon has pool
-            // threads: the load shape a thread-per-connection core
-            // cannot serve (it pins one thread per socket for the
-            // socket's lifetime) and the event loop handles without
-            // breaking stride.
+            // threads: connections are not pinned to workers, so the
+            // event loop serves them all.
             conns_per_server: 16,
             strip_size: 4096,
             strips: 64,
@@ -235,14 +228,10 @@ struct BenchFiles {
 }
 
 /// Create and populate the benchmark files through a serial client.
-fn setup_files(
-    cluster: &mut DasCluster,
-    cfg: &BenchConfig,
-    tag: &str,
-) -> Result<BenchFiles, NetError> {
+fn setup_files(cluster: &mut DasCluster, cfg: &BenchConfig) -> Result<BenchFiles, NetError> {
     let bench_len = cfg.strips * cfg.strip_size as u64;
     let bench = cluster.create_file(
-        &format!("bench-{tag}.dat"),
+        "bench.dat",
         bench_len,
         cfg.strip_size,
         LayoutPolicy::RoundRobin,
@@ -253,14 +242,14 @@ fn setup_files(
     let exec_len = cfg.exec_rows * cfg.strip_size as u64;
     let exec_data = strip_bytes(cfg.seed ^ 1, u64::MAX - 1, exec_len as usize);
     let exec_in = cluster.create_file(
-        &format!("bench-{tag}-exec.in"),
+        "bench-exec.in",
         exec_len,
         cfg.strip_size,
         LayoutPolicy::RoundRobin,
     )?;
     cluster.put_file(exec_in, &exec_data)?;
     let exec_out = cluster.create_file(
-        &format!("bench-{tag}-exec.out"),
+        "bench-exec.out",
         exec_len,
         cfg.strip_size,
         LayoutPolicy::RoundRobin,
@@ -317,25 +306,19 @@ fn class_index(kind: OpKind) -> usize {
 }
 
 /// Drive one already-running fleet at `addrs` with the configured
-/// workload and return the measured report. `engine_label` is carried
-/// into the report verbatim (the generator cannot see which engine a
-/// remote daemon runs).
-pub fn run_bench(
-    addrs: &[String],
-    cfg: &BenchConfig,
-    engine_label: &str,
-) -> Result<BenchReport, NetError> {
+/// workload and return the measured report.
+pub fn run_bench(addrs: &[String], cfg: &BenchConfig) -> Result<BenchReport, NetError> {
     let policy = bench_policy();
     let mut setup = DasCluster::connect_with(addrs, policy.clone())?;
-    let files = setup_files(&mut setup, cfg, engine_label)?;
+    let files = setup_files(&mut setup, cfg)?;
 
     // Shared pipelined connections: workers interleave requests on
     // them, which is exactly the concurrency the event-loop server
     // core exists to serve. Dialed in parallel, and a connection the
-    // server never serves (a thread-per-connection engine with more
-    // sockets than pool threads strands the surplus) becomes a dead
-    // slot whose operations count as errors — the generator measures
-    // that failure mode instead of refusing to run.
+    // server never serves (refused, or its Hello never answered)
+    // becomes a dead slot whose operations count as errors — the
+    // generator measures that failure mode instead of refusing to
+    // run.
     let per_server = cfg.conns_per_server.max(1);
     let dials: Vec<_> = (0..addrs.len() * per_server)
         .map(|slot| {
@@ -371,7 +354,6 @@ pub fn run_bench(
         "das.bench",
         "starting open-loop run",
         &[
-            ("engine", engine_label.to_string()),
             ("ops", ops.len().to_string()),
             ("rate", format!("{:.0}/s", cfg.rate)),
             ("clients", cfg.clients.to_string()),
@@ -489,11 +471,12 @@ pub fn run_bench(
     let stages = stage_attribution(&final_dumps);
 
     // Leave the target fleet exactly as capable as we found it: the
-    // bench files stay (ids are monotone, names are tagged), and the
-    // pipelined connections close on drop.
+    // bench files stay (a same-geometry re-run reuses them, since
+    // CreateFile is idempotent), and the pipelined connections close
+    // on drop.
     drop(conns);
 
-    Ok(build_report(engine_label, cfg, &accs, &errs, queue_depth_peak, requests_shed, wall, stages))
+    Ok(build_report(cfg, &accs, &errs, queue_depth_peak, requests_shed, wall, stages))
 }
 
 /// The retry policy of every bench connection: short timeouts so an
@@ -640,9 +623,7 @@ fn stage_attribution(dumps: &[(u32, String)]) -> Vec<report::StageStats> {
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn build_report(
-    engine: &str,
     cfg: &BenchConfig,
     accs: &[ClassAcc],
     errs: &ErrorBreakdown,
@@ -679,7 +660,6 @@ fn build_report(
     let total_completed: u64 = classes.iter().map(|c| c.completed).sum();
     let total_errors: u64 = classes.iter().map(|c| c.errors).sum();
     BenchReport {
-        engine: engine.to_string(),
         target_rate_ops_s: cfg.rate,
         duration_ms: cfg.duration.as_millis() as u64,
         clients: cfg.clients,
@@ -696,33 +676,6 @@ fn build_report(
         classes,
         stages,
     }
-}
-
-/// Boot an in-process loopback fleet per engine, run the identical
-/// seeded workload against each, and report both runs plus the winner
-/// (higher achieved throughput; ties break on lower aggregate p99).
-pub fn compare_engines(cfg: &BenchConfig) -> Result<CompareReport, NetError> {
-    let mut reports = Vec::new();
-    for engine in [das_net::Engine::EventLoop, das_net::Engine::Threads] {
-        let fleet = fleet::spawn_fleet(cfg.servers, engine, cfg.pool, cfg.max_backlog)
-            .map_err(NetError::Io)?;
-        let report = run_bench(&fleet.addrs, cfg, engine.name());
-        let shutdown = fleet.shutdown();
-        let report = report?;
-        shutdown?;
-        event(
-            Level::Info,
-            "das.bench",
-            "engine run complete",
-            &[
-                ("engine", report.engine.clone()),
-                ("achieved", format!("{:.0}/s", report.achieved_ops_s)),
-                ("errors", report.total_errors.to_string()),
-            ],
-        );
-        reports.push(report);
-    }
-    Ok(CompareReport::from_runs(reports))
 }
 
 #[cfg(test)]

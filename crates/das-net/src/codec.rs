@@ -452,7 +452,7 @@ pub struct Frame {
     /// Microseconds of CPU spent validating and decoding the frame
     /// (checksum verification + payload parse), excluding any time
     /// blocked on the transport — the honest "decode" stage for span
-    /// attribution on both engines.
+    /// attribution.
     pub decode_us: u64,
 }
 

@@ -1,11 +1,11 @@
-//! The [`crate::server::Engine::EventLoop`] connection core: a
-//! sharded nonblocking event loop with request pipelining.
+//! The `dasd` connection core: a sharded nonblocking event loop with
+//! request pipelining.
 //!
-//! Layout of one daemon under this engine:
+//! Layout of one daemon:
 //!
-//! * **one accept thread** — the shared nonblocking accept loop
-//!   (fault injection, shutdown polling) dealing sockets round-robin
-//!   to the shards;
+//! * **one accept thread** — a nonblocking accept loop (fault
+//!   injection, shutdown polling) dealing sockets round-robin to the
+//!   shards;
 //! * **a few shard threads** — each owns a set of nonblocking
 //!   sockets. A shard's loop drains newly-assigned sockets, reads
 //!   whatever bytes are available into each connection's incremental
@@ -14,9 +14,8 @@
 //!   `done` queue and are written with vectored (scatter/gather)
 //!   writes, partial-write state kept per connection;
 //! * **a worker pool** — runs `process_request` (fault injection,
-//!   metrics, dispatch — identical to the thread-per-connection
-//!   engine) off the shard threads, so a slow `Execute` full of peer
-//!   fetches never stalls other connections.
+//!   metrics, dispatch) off the shard threads, so a slow `Execute`
+//!   full of peer fetches never stalls other connections.
 //!
 //! **Fair queueing & admission control.** Decoded requests reach the
 //! worker pool through a `FairQueue`: per-connection FIFOs drained
@@ -40,8 +39,8 @@
 //! flight (up to `MAX_INFLIGHT`, 128); replies are written in completion
 //! order, not arrival order, and a pipelined client matches them by
 //! the echoed trace id (see `docs/PROTOCOL.md` § Pipelining). A
-//! legacy serial client never has more than one outstanding request,
-//! so it observes exactly the old engine's behavior, bit for bit.
+//! serial client never has more than one outstanding request, so it
+//! sees its replies strictly in request order.
 //!
 //! No `epoll`/`kqueue`: the workspace forbids `unsafe` and carries no
 //! FFI dependency, so readiness is discovered by polling nonblocking
@@ -64,10 +63,11 @@ use bytes::Bytes;
 use crate::codec::{
     encode_frame_traced, raw_frame_parts, CountingStream, FrameBuffer, IoVecCursor,
 };
+use crate::fault::{FaultAction, FaultPoint};
 use crate::proto::{ErrorCode, Message, Role, CAP_SPANS, CAP_TRACE, LOCAL_CAPS};
 use crate::server::{
-    accept_loop, finish_root, lock, op_class, process_request, record_stage, shed_exempt,
-    ConnClass, ReplyAction, RequestCtx, Shared, STRIP_DATA_OPCODE,
+    finish_root, lock, op_class, process_request, record_stage, shed_exempt, ConnClass,
+    ReplyAction, RequestCtx, Shared, STRIP_DATA_OPCODE,
 };
 use das_obs::{OpClass, Stage, NOTE_NONE, NOTE_SHED_BACKLOG};
 
@@ -97,6 +97,10 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Read chunk size per socket per pass.
 const READ_CHUNK: usize = 64 * 1024;
+
+/// How often an idle (nonblocking) accept loop wakes to poll for new
+/// connections and the shutdown flag.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Attribution context one reply carries from the worker back to the
 /// owning shard: the reply-write span closes only when the socket has
@@ -377,6 +381,47 @@ pub(crate) fn spawn_event_loop(
         }));
     }
     Ok(threads)
+}
+
+/// Nonblocking accept loop: polls the shutdown flag between accepts,
+/// applies accept-point fault injection, and hands live sockets to
+/// `submit`. Returns when the daemon shuts down or `submit` reports
+/// its receiver gone.
+fn accept_loop(
+    shared: &Shared,
+    listener: &TcpListener,
+    mut submit: impl FnMut(TcpStream) -> bool,
+) {
+    loop {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let s = match listener.accept() {
+            Ok((s, _)) => s,
+            Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock) => {
+                std::thread::sleep(ACCEPT_POLL);
+                continue;
+            }
+            Err(_) => continue,
+        };
+        // A listener in nonblocking mode hands out sockets whose mode
+        // is platform-dependent; pin it so `Conn::new` sets what the
+        // shard needs.
+        let _ = s.set_nonblocking(false);
+        match shared.fault.decide(FaultPoint::Accept) {
+            Some(FaultAction::RefuseAccept) => {
+                drop(s); // accepted, immediately closed
+                continue;
+            }
+            Some(FaultAction::Delay { millis }) => {
+                std::thread::sleep(Duration::from_millis(millis));
+            }
+            _ => {}
+        }
+        if !submit(s) {
+            return;
+        }
+    }
 }
 
 /// Run one request on a worker thread and queue its reply to the
@@ -704,7 +749,7 @@ fn pump_read(
 }
 
 /// First frame of a connection: fix the traffic class, register the
-/// byte counters, answer `HelloOk` — mirrors the blocking engine.
+/// byte counters, answer `HelloOk`.
 fn handle_hello(shared: &Shared, c: &mut Conn, msg: Message) {
     let (class, caps) = match msg {
         Message::Hello { role: Role::Client, caps, .. } => (ConnClass::Client, caps),

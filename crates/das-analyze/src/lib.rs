@@ -1,6 +1,6 @@
 //! # das-analyze — static analysis for the DAS workspace
 //!
-//! Thirteen passes, each emitting machine-readable [`Finding`]s
+//! Eleven passes, each emitting machine-readable [`Finding`]s
 //! (`registry::REGISTRY` is the code registry; `das-analyze --list`
 //! prints it, `docs/ANALYSIS.md` documents it):
 //!
@@ -56,32 +56,18 @@
 //!   Relaxed loads feeding control flow (the publication pattern),
 //!   mismatched store/load strength on one atomic, and discarded
 //!   `fetch_*` results flagged, with justification-checked waivers.
-//! * [`pipemodel`] — bounded model checker for the *pipelined*
-//!   session: 4-deep per-connection pipelining with completion-order
-//!   replies, DRR weights, `--max-backlog` admission with
-//!   shed-then-retry, per-hop deadline budgets, and hedge lanes —
-//!   asserting no lost/duplicated reply ids, shed-then-retry
-//!   liveness, deadline monotonicity, and hedge-winner uniqueness.
 //! * [`hotpath`] — per-request allocation/copy/blocking analysis:
 //!   scan das-net's request-path sources for heap copies, unbounded
 //!   wire-sized allocations, payload byte-copy sinks, blocking ops
 //!   and guard-across-dispatch sites, keep only those reachable from
 //!   the evloop hot roots via the call graph, and prove the write
 //!   path (`run_job` → … → `frame_parts_opts`) allocation-free.
-//! * [`costmodel`] — symbolic wire-cost verification: extract each
-//!   `encode_payload` arm's size formula from source, verify it
-//!   against the linked codec per variant, then compose per-sequence
-//!   costs (peer dependence fetches, client reads/writes) and
-//!   cross-check them against measured frames over a
-//!   (D, strip, policy, caps) grid — the Eqs. 1–17 bookkeeping held
-//!   to the actual bytes.
 //!
 //! The `das-analyze` binary runs the passes against a repository
 //! root; `--deny` turns any warning- or error-level finding into a
 //! nonzero exit for CI.
 
 pub mod atomics;
-pub mod costmodel;
 pub mod descriptors;
 pub mod fetchgraph;
 pub mod finding;
@@ -90,7 +76,6 @@ pub mod lints;
 pub mod lockgraph;
 pub mod lockset;
 pub mod model;
-pub mod pipemodel;
 pub mod protocol;
 pub mod registry;
 pub mod syntax;
@@ -101,7 +86,7 @@ use std::path::Path;
 pub use finding::{Finding, Report, Severity};
 
 /// Pass names in execution order, as accepted by `--pass`.
-pub const PASSES: [&str; 13] = [
+pub const PASSES: [&str; 11] = [
     "registry",
     "descriptors",
     "protocol",
@@ -112,9 +97,7 @@ pub const PASSES: [&str; 13] = [
     "model",
     "lockset",
     "atomics",
-    "pipemodel",
     "hotpath",
-    "costmodel",
 ];
 
 /// Run one pass by name against a repository root. `None` for an
@@ -131,9 +114,7 @@ pub fn run_pass(name: &str, root: &Path) -> Option<Vec<Finding>> {
         "model" => Some(model::run(root)),
         "lockset" => Some(lockset::run(root)),
         "atomics" => Some(atomics::run(root)),
-        "pipemodel" => Some(pipemodel::run(root)),
         "hotpath" => Some(hotpath::run(root)),
-        "costmodel" => Some(costmodel::run(root)),
         _ => None,
     }
 }

@@ -77,14 +77,6 @@ pub const REGISTRY: &[(&str, &str, &str)] = &[
     ("DA605", "error", "protocol model: degradation skipped a ladder rung"),
     ("DA606", "error", "protocol model: retry loop exceeds its attempt budget"),
     ("DA607", "warning", "protocol model: defect list drifted from the model"),
-    ("DA620", "info", "pipelined model summary: explored states, transitions, configs"),
-    ("DA621", "error", "pipelined model: an admitted request's reply was lost"),
-    ("DA622", "error", "pipelined model: a reply id was delivered more than once"),
-    ("DA623", "error", "pipelined model: shed request never retried (liveness)"),
-    ("DA624", "error", "pipelined model: deadline budget grew across a hop"),
-    ("DA625", "error", "pipelined model: both hedge lanes delivered for one fetch"),
-    ("DA626", "error", "pipelined model: queue admitted past --max-backlog"),
-    ("DA627", "warning", "pipelined model: defect list drifted from the model"),
     ("DA700", "info", "lockset summary: guards inferred, fields bound, accesses checked"),
     ("DA701", "error", "field of a guard-protected struct accessed without its guard held"),
     ("DA702", "warning", "struct protected by more than one guard; lockset is ambiguous"),
@@ -103,12 +95,6 @@ pub const REGISTRY: &[(&str, &str, &str)] = &[
     ("DA804", "error", "byte-copy sink fed a strip payload, defeating the Bytes zero-copy path"),
     ("DA805", "error", "lock guard held across a dispatch/enqueue/write boundary"),
     ("DA806", "info", "hot-path census: files, fns, reachable sets, sites examined"),
-    ("DA810", "info", "cost-model proof record: symbolic frame size verified for a message variant"),
-    ("DA811", "error", "symbolic frame-size expression diverges from the codec's measured bytes"),
-    ("DA812", "error", "composed wire-cost formula diverges from the Eqs. 1-17 predictors"),
-    ("DA813", "error", "message variant with no extractable or verifiable frame-size expression"),
-    ("DA814", "error", "frame overhead constants drifted between codec source and measured frames"),
-    ("DA815", "info", "cost-model census: variants extracted, grid cells swept"),
 ];
 
 /// Render the registry as the aligned table `das-analyze --list`

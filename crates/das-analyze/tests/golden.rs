@@ -171,8 +171,10 @@ fn every_seeded_model_defect_yields_its_counterexample() {
     for code in ["DA601", "DA602", "DA603", "DA604", "DA605", "DA606"] {
         assert!(stdout.contains(&format!("\"code\":\"{code}\"")), "missing {code}:\n{stdout}");
     }
-    // The unknown defect name is registry drift…
+    // The unknown defect names are registry drift — a `pipe-` name
+    // included, since no pass owns that prefix any more…
     assert!(stdout.contains("\"code\":\"DA607\""), "{stdout}");
+    assert!(stdout.contains("unknown defect `pipe-backlog-ignored`"), "{stdout}");
     // …and each counterexample is a readable numbered trace.
     assert!(stdout.contains("counterexample"), "{stdout}");
     assert!(stdout.contains("[1] connect"), "{stdout}");
@@ -210,21 +212,6 @@ fn relaxed_publication_load_fails_with_da711() {
     // …and the Release store it pairs with makes the strength
     // mismatch explicit too.
     assert!(stdout.contains("\"code\":\"DA712\""), "{stdout}");
-}
-
-#[test]
-fn every_seeded_pipelined_defect_yields_its_counterexample() {
-    let (ok, stdout) = analyze(&fixture("pipemodel-defects"), &["pipemodel"]);
-    assert!(!ok, "{stdout}");
-    for code in ["DA621", "DA622", "DA623", "DA624", "DA625", "DA626"] {
-        assert!(stdout.contains(&format!("\"code\":\"{code}\"")), "missing {code}:\n{stdout}");
-    }
-    // The unknown defect name is drift…
-    assert!(stdout.contains("\"code\":\"DA627\""), "{stdout}");
-    assert!(stdout.contains("pipe-made-up-defect"), "{stdout}");
-    // …and each counterexample is a readable numbered trace.
-    assert!(stdout.contains("counterexample"), "{stdout}");
-    assert!(stdout.contains("[1] submit"), "{stdout}");
 }
 
 #[test]
@@ -274,17 +261,6 @@ fn seeded_blocking_calls_on_the_poll_loop_fail_with_da803() {
 }
 
 #[test]
-fn doctored_encode_arm_fails_with_da811_and_da812() {
-    let (ok, stdout) = analyze(&fixture("costmodel-drift"), &["costmodel"]);
-    assert!(!ok, "{stdout}");
-    // The per-variant formula drifts from the linked codec…
-    assert!(stdout.contains("\"code\":\"DA811\""), "{stdout}");
-    assert!(stdout.contains("symbolic |payload| = 20"), "{stdout}");
-    // …and every composed sequence cost diverges with it.
-    assert!(stdout.contains("\"code\":\"DA812\""), "{stdout}");
-}
-
-#[test]
 fn real_repo_is_clean_under_deny() {
     let (ok, stdout) = analyze(&repo_root(), &[]);
     assert!(ok, "the shipped repo must pass --deny:\n{stdout}");
@@ -298,24 +274,15 @@ fn real_repo_is_clean_under_deny() {
     assert!(stdout.contains("\"code\":\"DA500\""), "{stdout}");
     assert!(stdout.contains("\"code\":\"DA409\""), "{stdout}");
     assert!(stdout.contains("\"code\":\"DA600\""), "{stdout}");
-    // …and the concurrency-soundness records: the lockset proof,
-    // the atomics census, and the pipelined model's explored-state
-    // record.
+    // …and the concurrency-soundness records: the lockset proof and
+    // the atomics census.
     assert!(stdout.contains("\"code\":\"DA700\""), "{stdout}");
     assert!(stdout.contains("\"code\":\"DA705\""), "{stdout}");
     assert!(stdout.contains("\"code\":\"DA710\""), "{stdout}");
-    assert!(stdout.contains("\"code\":\"DA620\""), "{stdout}");
     // …and the perfguard records: the zero-copy write-path proof and
-    // the wire-cost model with every message variant verified.
+    // the hot-path census.
     assert!(stdout.contains("\"code\":\"DA800\""), "{stdout}");
     assert!(stdout.contains("\"code\":\"DA806\""), "{stdout}");
-    assert!(stdout.contains("\"code\":\"DA810\""), "{stdout}");
-    assert_eq!(
-        stdout.matches("\"code\":\"DA810\"").count(),
-        34,
-        "33 variants + frame overhead must each carry a proof:\n{stdout}"
-    );
-    assert!(stdout.contains("\"code\":\"DA815\""), "{stdout}");
 }
 
 #[test]

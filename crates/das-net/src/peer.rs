@@ -515,3 +515,39 @@ impl PeerTable {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// The budget stamped on a peer hop is what is left of the
+    /// caller's deadline: it can only shrink across the hop, a spent
+    /// budget goes out as an explicit 0, and a live remainder is never
+    /// rounded down to "spent".
+    #[test]
+    fn remaining_budget_never_grows_across_a_hop() {
+        assert_eq!(remaining_budget_ms(None), None, "no deadline, no budget field");
+
+        let past = Instant::now().checked_sub(Duration::from_millis(5)).expect("monotonic clock");
+        assert_eq!(remaining_budget_ms(Some(past)), Some(0), "a past deadline is spent");
+
+        // Half a millisecond of slack on top of `d` must still round
+        // down: the stamp is whole milliseconds *left*, never more.
+        for d in [1u64, 2, 50, 1_000, 3_600_000] {
+            let deadline = Instant::now() + Duration::from_millis(d) + Duration::from_micros(500);
+            let stamped = remaining_budget_ms(Some(deadline)).expect("a deadline stamps a budget");
+            assert!(u64::from(stamped) <= d, "{d} ms ahead stamped {stamped} ms");
+            assert!(stamped >= 1 || Instant::now() >= deadline, "{d} ms ahead stamped 0 while live");
+        }
+
+        // A sub-millisecond remainder rounds up to 1. Retry if the
+        // thread was descheduled past the deadline mid-call.
+        let live = (0..100).find_map(|_| {
+            let deadline = Instant::now() + Duration::from_micros(900);
+            let stamped = remaining_budget_ms(Some(deadline));
+            (Instant::now() < deadline).then_some(stamped)
+        });
+        assert_eq!(live, Some(Some(1)), "a live sub-millisecond remainder must stamp 1, not 0");
+    }
+}
